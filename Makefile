@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline
+.PHONY: check vet build test race fuzz-mem trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline
 
 # check is the tier-1 gate: everything must pass before a merge.
 check: vet build test race
@@ -24,6 +24,14 @@ test:
 # (it observes journal appends and drops traces concurrently).
 race:
 	$(GO) test -race ./internal/cluster/... ./internal/metrics/... ./internal/core/... ./internal/lifecycle/... ./internal/faults/... ./internal/events/... ./internal/msgbus/... ./internal/mem/... ./internal/snapshot/... ./internal/timeseries/... ./internal/workflow/... ./internal/insight/... ./internal/telemetry/...
+
+# fuzz-mem runs the differential page-accounting fuzzer: random op
+# sequences against internal/mem's dense page state and a map-based
+# reference model, which must agree on every observable after every op.
+# FUZZTIME bounds the run.
+FUZZTIME ?= 30s
+fuzz-mem:
+	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzPageAccounting$$' -fuzztime $(FUZZTIME)
 
 # trace-demo runs a faulted fwsim demo, dumps its event journal as
 # Chrome trace-event JSON, and sanity-checks that the dump parses and

@@ -234,6 +234,10 @@ func compare(baseline, fresh *Report, tol Tolerances) []Violation {
 				"allocs/op regressed: %.0f -> %.0f (> %.0f allowed)",
 				bb.AllocsOp, fb.AllocsOp, allowed)})
 		}
+		if e.AllocCeiling > 0 && fb.AllocsOp > e.AllocCeiling {
+			vs = append(vs, Violation{e.Name, fmt.Sprintf(
+				"allocs/op %.0f above ceiling %.0f", fb.AllocsOp, e.AllocCeiling)})
+		}
 	}
 	keys := make([]string, 0, len(tol.MinSpeedups))
 	for k := range tol.MinSpeedups {

@@ -17,6 +17,9 @@ func sampleReport() *Report {
 			Name: e.Name, Iterations: 1000, NsPerOp: 1000, AllocsOp: 10, BytesOp: 256,
 		})
 	}
+	// The page-accounting benchmarks sit under their allocs/op ceilings.
+	r.result("BenchmarkPSSAccounting").AllocsOp = 0
+	r.result("BenchmarkDirtyPages").AllocsOp = 1108
 	// Make the ratio numerators slower than their denominators so the
 	// derived speedups clear their floors.
 	r.result("BenchmarkMetricsParallel/flat").NsPerOp = 2000
@@ -67,6 +70,19 @@ func TestCompareFailsOnSyntheticRegression(t *testing.T) {
 		vs := compare(base, fresh, defaultTolerances())
 		if !hasViolation(vs, "BenchmarkSnapshotRestore", "allocs/op") {
 			t.Fatalf("3x allocs/op regression not caught: %v", vs)
+		}
+	})
+
+	t.Run("alloc_ceiling", func(t *testing.T) {
+		// A PSS read that starts allocating fails its absolute ceiling
+		// even when the baseline recorded the same count.
+		base := sampleReport()
+		base.result("BenchmarkPSSAccounting").AllocsOp = 3
+		fresh := sampleReport()
+		fresh.result("BenchmarkPSSAccounting").AllocsOp = 3
+		vs := compare(base, fresh, defaultTolerances())
+		if !hasViolation(vs, "BenchmarkPSSAccounting", "ceiling") {
+			t.Fatalf("allocs/op above ceiling not caught: %v", vs)
 		}
 	})
 

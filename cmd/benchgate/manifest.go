@@ -16,6 +16,9 @@ type BenchEntry struct {
 	// Ungated entries are acknowledged (the manifest is the complete
 	// inventory) but only run with -all.
 	Gate bool
+	// AllocCeiling, when positive, is an absolute allocs/op bound a
+	// gated benchmark must stay at or under, whatever the baseline says.
+	AllocCeiling float64
 }
 
 // manifest inventories every benchmark in bench_test.go. The gated
@@ -48,7 +51,13 @@ var manifest = []BenchEntry{
 	{Name: "BenchmarkInterpreterTier"},
 	{Name: "BenchmarkJITTier"},
 	{Name: "BenchmarkSnapshotRestore", Gate: true},
-	{Name: "BenchmarkPSSAccounting"},
+
+	// Page accounting (internal/mem): gated with absolute allocs/op
+	// ceilings. A PSS read walks dense per-region page state and must
+	// not allocate; a 72-clone fill and drain allocates per space, not
+	// per page.
+	{Name: "BenchmarkPSSAccounting", Gate: true, AllocCeiling: 1},
+	{Name: "BenchmarkDirtyPages", Gate: true, AllocCeiling: 2000},
 
 	// Content-addressed store benchmarks: gated, including the derived
 	// flat/delta fetch ratios (virtual time and bytes moved) and the

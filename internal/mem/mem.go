@@ -9,10 +9,18 @@
 // shared by every address space that maps the region (exactly how a
 // MAP_PRIVATE snapshot file mapping behaves in Firecracker). When a guest
 // writes to a shared page, the page is CoW-split: the writing address
-// space gets a private copy, and the base frame's sharer count for that
-// page drops by one. Per-page sharer counts are kept sparsely, so a
-// 512 MiB guest costs a handful of map entries rather than 131072 of
-// them, while PSS remains page-exact.
+// space gets a private copy, and the base frame loses one referent.
+//
+// Page state is dense. A region keeps one split count per page (how
+// many current sharers split it) plus a histogram of those counts; each
+// mapping keeps a bitset of the pages its space split. A base frame is
+// reclaimed exactly when every sharer has split it, so a mapped region
+// holds pages − hist[sharers] resident base frames and every sharer
+// change moves host usage by the difference of that formula, without
+// walking other pages. Both arrays cover only the prefix up to the
+// highest page split, and are dropped when the region goes dormant.
+// CoW faults are taken a range at a time (Space.DirtyFrom): one lock
+// acquisition, one counter add, and one gauge publish per range.
 //
 // A Host tracks total physical frame usage against a capacity and a
 // swappiness threshold, reproducing the "launch microVMs until swapping
@@ -27,6 +35,8 @@ package mem
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -53,7 +63,8 @@ const (
 type Host struct {
 	mu           sync.Mutex
 	capacity     uint64 // bytes of physical memory
-	swappiness   float64
+	swapBytes    uint64 // usage (bytes) beyond which the host swaps
+	swapPages    uint64 // swapBytes in whole pages
 	usedPages    uint64
 	privatePages uint64 // pages not backed by a shared region frame
 	maxUsedPages uint64 // high-water mark of usedPages
@@ -84,11 +95,13 @@ func NewHost(capacity uint64, swappiness float64) *Host {
 	if swappiness <= 0 || swappiness > 1 {
 		panic(fmt.Sprintf("mem: swappiness %v out of (0,1]", swappiness))
 	}
+	swapBytes := uint64(float64(capacity) * swappiness)
 	return &Host{
-		capacity:   capacity,
-		swappiness: swappiness,
-		regions:    make(map[string]*Region),
-		spaces:     make(map[int]*Space),
+		capacity:  capacity,
+		swapBytes: swapBytes,
+		swapPages: swapBytes / PageSize,
+		regions:   make(map[string]*Region),
+		spaces:    make(map[int]*Space),
 	}
 }
 
@@ -144,20 +157,17 @@ func (h *Host) publishLocked() {
 // swappedPagesLocked estimates the frames the kernel would have pushed
 // to swap: usage beyond the swappiness threshold. Caller holds h.mu.
 func (h *Host) swappedPagesLocked() uint64 {
-	thr := uint64(float64(h.capacity)*h.swappiness) / PageSize
-	if h.usedPages <= thr {
+	if h.usedPages <= h.swapPages {
 		return 0
 	}
-	return h.usedPages - thr
+	return h.usedPages - h.swapPages
 }
 
 // Capacity returns the host's physical memory in bytes.
 func (h *Host) Capacity() uint64 { return h.capacity }
 
 // SwapThreshold returns the usage level (bytes) at which swapping starts.
-func (h *Host) SwapThreshold() uint64 {
-	return uint64(float64(h.capacity) * h.swappiness)
-}
+func (h *Host) SwapThreshold() uint64 { return h.swapBytes }
 
 // Used returns the bytes of physical memory currently in use across all
 // regions and private allocations.
@@ -178,14 +188,6 @@ func (h *Host) HighWater() uint64 {
 // Swapping reports whether current usage has crossed the swap threshold.
 func (h *Host) Swapping() bool { return h.Used() > h.SwapThreshold() }
 
-func (h *Host) addPages(n int64) { h.adjust(n, 0) }
-
-func (h *Host) adjust(pages, private int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.adjustLocked(pages, private)
-}
-
 // adjustLocked moves the host's page accounting: pages is the total
 // physical frame delta, private the subset that is privately owned
 // (anonymous allocations and CoW copies). Shared frame usage is derived
@@ -200,14 +202,13 @@ func (h *Host) adjustLocked(pages, private int64) {
 	if nextPriv < 0 {
 		panic("mem: host private-page accounting went negative")
 	}
-	thr := int64(float64(h.capacity)*h.swappiness) / PageSize
-	wasSwapping := int64(h.usedPages) > thr
+	wasSwapping := h.usedPages > h.swapPages
 	h.usedPages = uint64(next)
 	h.privatePages = uint64(nextPriv)
 	if h.usedPages > h.maxUsedPages {
 		h.maxUsedPages = h.usedPages
 	}
-	nowSwapping := next > thr
+	nowSwapping := h.usedPages > h.swapPages
 	if nowSwapping && !wasSwapping {
 		h.swapEvents.Inc()
 	}
@@ -232,13 +233,11 @@ func (h *Host) NewRegion(name string, kind Kind, pages int) *Region {
 	defer h.mu.Unlock()
 	h.nextRegion++
 	r := &Region{
-		host:      h,
-		seq:       h.nextRegion,
-		name:      fmt.Sprintf("%s#%d", name, h.nextRegion),
-		kind:      kind,
-		pages:     pages,
-		dirtied:   make(map[int]int),
-		freedBase: make(map[int]bool),
+		host:  h,
+		seq:   h.nextRegion,
+		name:  fmt.Sprintf("%s#%d", name, h.nextRegion),
+		kind:  kind,
+		pages: pages,
 	}
 	h.regions[r.name] = r
 	return r
@@ -253,30 +252,27 @@ type Region struct {
 	pages   int
 	sharers int
 	faults  uint64 // lifetime CoW faults attributed to this region
-	// dirtied[p] = number of spaces that CoW-split page p and therefore
-	// no longer reference the base frame. Sparse: absent means zero.
-	dirtied map[int]int
-	// freedBase marks pages whose base frame has been reclaimed because
-	// every current sharer CoW-split it (the file-backed page becomes
-	// evictable page cache and stops counting against physical memory).
-	freedBase map[int]bool
+	// split[p] is the number of current sharers that CoW-split page p
+	// and so no longer reference its base frame. It covers pages up to
+	// the highest one split (zero beyond), is allocated on the first
+	// split, and is dropped when the region goes dormant.
+	split []uint16
+	// hist[k] (k >= 1) counts the pages split by exactly k sharers;
+	// touched counts the pages split by anyone and copies the live CoW
+	// copies (the sum of split).
+	hist    []int
+	touched int
+	copies  int
 }
 
-// recheckPage reconciles page p's base frame with its referent count and
-// returns the host page delta (-1 reclaimed, +1 re-materialized, 0
-// unchanged). Caller holds the host lock and applies the delta.
-func (r *Region) recheckPage(p int) int {
-	base := r.sharers - r.dirtied[p]
-	switch {
-	case base <= 0 && !r.freedBase[p] && r.sharers > 0:
-		r.freedBase[p] = true
-		return -1
-	case base > 0 && r.freedBase[p]:
-		delete(r.freedBase, p)
-		return 1
-	default:
+// residentLocked returns the region's resident base frames: none while
+// dormant, otherwise every page except those every sharer split (their
+// base frames are reclaimed). Caller holds the host lock.
+func (r *Region) residentLocked() int {
+	if r.sharers == 0 {
 		return 0
 	}
+	return r.pages - r.hist[r.sharers]
 }
 
 // Name returns the unique region name, Kind its content label, and Pages
@@ -306,14 +302,18 @@ type Space struct {
 	host    *Host
 	seq     int // creation order, for deterministic reports
 	name    string
-	refs    map[string]*regionRef
+	refs    []*regionRef // in mapping order
 	private map[Kind]int // private page counts by kind (anon + CoW copies)
 	freed   bool
 }
 
+// regionRef is one mapping of a region into a space.
 type regionRef struct {
 	region *Region
-	dirty  map[int]bool // pages this space has CoW-split
+	// dirty is the bitset of pages this space CoW-split, covering pages
+	// up to the highest one it split; nDirty is its popcount.
+	dirty  []uint64
+	nDirty int
 }
 
 // NewSpace creates an empty address space on the host and registers it
@@ -326,7 +326,6 @@ func (h *Host) NewSpace(name string) *Space {
 		host:    h,
 		seq:     h.nextSpace,
 		name:    name,
-		refs:    make(map[string]*regionRef),
 		private: make(map[Kind]int),
 	}
 	h.spaces[s.seq] = s
@@ -348,6 +347,17 @@ func (h *Host) Spaces() []*Space {
 // Name returns the space's name.
 func (s *Space) Name() string { return s.name }
 
+// refLocked returns this space's mapping of r, or nil. Caller holds the
+// host lock.
+func (s *Space) refLocked(r *Region) *regionRef {
+	for _, ref := range s.refs {
+		if ref.region == r {
+			return ref
+		}
+	}
+	return nil
+}
+
 // MapRegion maps a shared region into this space. Mapping the same region
 // twice is an error in the simulated stack and panics.
 func (s *Space) MapRegion(r *Region) {
@@ -355,22 +365,19 @@ func (s *Space) MapRegion(r *Region) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s.mustLive()
-	if _, ok := s.refs[r.name]; ok {
+	if s.refLocked(r) != nil {
 		panic(fmt.Sprintf("mem: region %s mapped twice into %s", r.name, s.name))
 	}
-	s.refs[r.name] = &regionRef{region: r, dirty: make(map[int]bool)}
+	s.refs = append(s.refs, &regionRef{region: r})
+	// Frames materialize on first mapping; a new sharer re-references
+	// the base frames reclaimed because every previous sharer split them.
+	before := r.residentLocked()
 	r.sharers++
-	var delta int64
-	if r.sharers == 1 {
-		delta += int64(r.pages) // frames materialize on first mapping
+	for len(r.hist) <= r.sharers {
+		r.hist = append(r.hist, 0)
 	}
-	// A new sharer re-references base frames that were reclaimed when
-	// every previous sharer had split them.
-	for p := range r.freedBase {
-		delta += int64(r.recheckPage(p))
-	}
-	if delta != 0 {
-		h.adjustLocked(delta, 0)
+	if delta := r.residentLocked() - before; delta != 0 {
+		h.adjustLocked(int64(delta), 0)
 	}
 }
 
@@ -381,28 +388,12 @@ func (s *Space) DirtyPage(r *Region, page int) bool {
 	h := s.host
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s.mustLive()
-	ref, ok := s.refs[r.name]
-	if !ok {
-		panic(fmt.Sprintf("mem: dirty of unmapped region %s in %s", r.name, s.name))
-	}
+	ref := s.mappedLocked(r)
 	if page < 0 || page >= r.pages {
 		panic(fmt.Sprintf("mem: page %d out of range for region %s (%d pages)", page, r.name, r.pages))
 	}
-	if ref.dirty[page] {
-		return false
-	}
-	ref.dirty[page] = true
-	r.dirtied[page]++
-	r.faults++
-	delta := int64(1) + int64(r.recheckPage(page))
-	s.private[r.kind]++
-	h.cowFaults.Inc()
-	h.cowByKind[r.kind].Inc()
-	// The CoW copy is a new private page; the recheck remainder adjusts
-	// shared base frames.
-	h.adjustLocked(delta, 1)
-	return true
+	faults, _ := s.dirtyLocked(ref, page, page+1, 1)
+	return faults == 1
 }
 
 // DirtyPages CoW-splits the first n pages of the region (a convenient
@@ -412,13 +403,92 @@ func (s *Space) DirtyPages(r *Region, n int) int {
 	if n > r.pages {
 		n = r.pages
 	}
-	faults := 0
-	for p := 0; p < n; p++ {
-		if s.DirtyPage(r, p) {
-			faults++
-		}
+	if n <= 0 {
+		return 0
 	}
+	faults, _ := s.DirtyFrom(r, 0, n, n)
 	return faults
+}
+
+// DirtyFrom CoW-splits pages [from, to) of a mapped region in ascending
+// order, stopping once budget faults have been taken; pages this space
+// already split cost nothing. It returns the faults taken and next, the
+// page after the last one visited (to when the budget was not reached),
+// so a caller can resume where it stopped. The whole range is one host
+// operation: one lock acquisition, one fault-counter add, and one gauge
+// publish.
+func (s *Space) DirtyFrom(r *Region, from, to, budget int) (faults, next int) {
+	h := s.host
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	ref := s.mappedLocked(r)
+	if from < 0 || from > to || to > r.pages {
+		panic(fmt.Sprintf("mem: pages [%d,%d) out of range for region %s (%d pages)", from, to, r.name, r.pages))
+	}
+	return s.dirtyLocked(ref, from, to, budget)
+}
+
+// mappedLocked returns this live space's mapping of r, panicking if the
+// region is not mapped. Caller holds the host lock.
+func (s *Space) mappedLocked(r *Region) *regionRef {
+	s.mustLive()
+	ref := s.refLocked(r)
+	if ref == nil {
+		panic(fmt.Sprintf("mem: dirty of unmapped region %s in %s", r.name, s.name))
+	}
+	return ref
+}
+
+// dirtyLocked is the CoW fault path behind DirtyPage, DirtyPages and
+// DirtyFrom; the range is already validated. Each fault moves its
+// page's split count from k to k+1 and adds one private copy; the page's
+// base frame is reclaimed when k+1 reaches the sharer count. Caller
+// holds the host lock.
+func (s *Space) dirtyLocked(ref *regionRef, from, to, budget int) (faults, next int) {
+	r := ref.region
+	reclaimed := 0
+	p := from
+	for ; p < to && faults < budget; p++ {
+		w, bit := p>>6, uint64(1)<<(p&63)
+		if w >= len(ref.dirty) {
+			ref.dirty = append(ref.dirty, make([]uint64, w+1-len(ref.dirty))...)
+		} else if ref.dirty[w]&bit != 0 {
+			continue // already split: the private copy is written again
+		}
+		ref.dirty[w] |= bit
+		if p >= len(r.split) {
+			r.split = append(r.split, make([]uint16, p+1-len(r.split))...)
+		}
+		k := r.split[p]
+		if k == math.MaxUint16 {
+			panic(fmt.Sprintf("mem: page %d of region %s split by more than %d spaces", p, r.name, math.MaxUint16))
+		}
+		r.split[p] = k + 1
+		if k == 0 {
+			r.touched++
+		} else {
+			r.hist[k]--
+		}
+		r.hist[k+1]++
+		if int(k)+1 == r.sharers {
+			reclaimed++
+		}
+		faults++
+	}
+	if faults == 0 {
+		return 0, p
+	}
+	ref.nDirty += faults
+	r.copies += faults
+	r.faults += uint64(faults)
+	s.private[r.kind] += faults
+	h := s.host
+	h.cowFaults.Add(int64(faults))
+	h.cowByKind[r.kind].Add(int64(faults))
+	// The CoW copies are new private pages; the reclaimed base frames
+	// leave the shared side.
+	h.adjustLocked(int64(faults-reclaimed), int64(faults))
+	return faults, p
 }
 
 // DirtiedPagesIn returns the pages of r this space has CoW-split, in
@@ -430,15 +500,17 @@ func (s *Space) DirtiedPagesIn(r *Region) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s.mustLive()
-	ref, ok := s.refs[r.name]
-	if !ok {
+	ref := s.refLocked(r)
+	if ref == nil {
 		return nil
 	}
-	pages := make([]int, 0, len(ref.dirty))
-	for p := range ref.dirty {
-		pages = append(pages, p)
+	pages := make([]int, 0, ref.nDirty)
+	for w, word := range ref.dirty {
+		for word != 0 {
+			pages = append(pages, w<<6+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
 	}
-	sort.Ints(pages)
 	return pages
 }
 
@@ -457,6 +529,9 @@ func (s *Space) AllocPrivate(kind Kind, pages int) {
 
 // FreePrivate releases n private pages of the given kind.
 func (s *Space) FreePrivate(kind Kind, pages int) {
+	if pages < 0 {
+		panic("mem: negative private free")
+	}
 	h := s.host
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -469,11 +544,11 @@ func (s *Space) FreePrivate(kind Kind, pages int) {
 }
 
 // Free releases everything the space holds: region mappings (dropping
-// per-page sharer counts, reclaiming base frames that lost their last
-// referent) and private pages. The space's final PSS is observed into
-// mem_pss_bytes (smem's per-process sample, taken at end of life) and
-// the space is unregistered from fleet reports; it is unusable
-// afterwards.
+// its pages' split counts, reclaiming base frames that lost their last
+// referent) and private pages, CoW copies included. The space's final
+// PSS is observed into mem_pss_bytes (smem's per-process sample, taken
+// at end of life) and the space is unregistered from fleet reports; it
+// is unusable afterwards.
 func (s *Space) Free() {
 	h := s.host
 	h.mu.Lock()
@@ -482,45 +557,41 @@ func (s *Space) Free() {
 	if h.pssHist != nil {
 		h.pssHist.Observe(s.pssLocked())
 	}
-	var dirtyTotal int64
+	var shared int64
 	for _, ref := range s.refs {
 		r := ref.region
-		dirtyTotal += int64(len(ref.dirty))
-		// Our private CoW copies are released.
-		delta := -int64(len(ref.dirty))
-		for p := range ref.dirty {
-			r.dirtied[p]--
-			if r.dirtied[p] == 0 {
-				delete(r.dirtied, p)
+		before := r.residentLocked()
+		for w, word := range ref.dirty {
+			for word != 0 {
+				p := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				k := r.split[p]
+				r.split[p] = k - 1
+				r.hist[k]--
+				if k == 1 {
+					r.touched--
+				} else {
+					r.hist[k-1]++
+				}
 			}
 		}
+		r.copies -= ref.nDirty
 		r.sharers--
 		if r.sharers == 0 {
-			// Region goes dormant: release every base frame that was
-			// not already reclaimed.
-			delta -= int64(r.pages - len(r.freedBase))
-			r.freedBase = make(map[int]bool)
-		} else {
-			// Our departure may orphan base frames of pages every
-			// remaining sharer has split, or re-balance ones we split.
-			for p := range r.dirtied {
-				delta += int64(r.recheckPage(p))
-			}
-			for p := range r.freedBase {
-				delta += int64(r.recheckPage(p))
-			}
+			// Dormant: every base frame goes and the page state with it.
+			r.split, r.hist = nil, nil
 		}
-		// -len(ref.dirty) of delta is this space's CoW copies (private);
-		// the rest adjusts shared base frames.
-		h.adjustLocked(delta, -int64(len(ref.dirty)))
+		// Our departure may orphan base frames of pages every remaining
+		// sharer has split; it never re-materializes one.
+		shared += int64(r.residentLocked() - before)
 	}
-	var privatePages int64
+	var private int64
 	for _, n := range s.private {
-		privatePages += int64(n)
+		private += int64(n)
 	}
-	// Region CoW copies were already subtracted above; subtract only
-	// the remaining pure-anonymous portion.
-	h.adjustLocked(-(privatePages - dirtyTotal), -(privatePages - dirtyTotal))
+	// Every delta here is a release, so one adjustment crosses the swap
+	// threshold (downward) exactly as a page-by-page teardown would.
+	h.adjustLocked(shared-private, -private)
 	delete(h.spaces, s.seq)
 	s.refs = nil
 	s.private = nil
@@ -554,7 +625,7 @@ func (s *Space) rssLocked() uint64 {
 	var pages uint64
 	for _, ref := range s.refs {
 		// Shared pages still referenced (not CoW-split by this space).
-		pages += uint64(ref.region.pages - len(ref.dirty))
+		pages += uint64(ref.region.pages - ref.nDirty)
 	}
 	for _, n := range s.private {
 		pages += uint64(n)
@@ -579,25 +650,51 @@ func (s *Space) pssLocked() float64 {
 		pss += float64(n) * PageSize
 	}
 	for _, ref := range s.refs {
-		r := ref.region
-		// Pages nobody split: shared by all current sharers.
-		clean := r.pages - len(r.dirtied)
-		if r.sharers > 0 {
-			pss += float64(clean) * PageSize / float64(r.sharers)
+		pss = ref.addSharedPSSLocked(pss)
+	}
+	return pss
+}
+
+// addSharedPSSLocked adds this mapping's share of the region's base
+// frames to acc. Pages nobody split are shared by all current sharers; a
+// page someone split is shared by the sharers that did not, of which
+// this space is one only if it did not split the page itself (its own
+// copy counts as private). Split pages are added in ascending page
+// order. Caller holds the host lock.
+func (ref *regionRef) addSharedPSSLocked(acc float64) float64 {
+	r := ref.region
+	if r.sharers == 0 {
+		return acc
+	}
+	acc += float64(r.pages-r.touched) * PageSize / float64(r.sharers)
+	ref.foreignSplitsLocked(func(k int) {
+		if base := r.sharers - k; base > 0 {
+			acc += PageSize / float64(base)
 		}
-		// Pages split by someone: this space shares the base frame only
-		// if it did not split the page itself.
-		for p, nSplit := range r.dirtied {
-			if ref.dirty[p] {
-				continue // our copy already counted as private
-			}
-			base := r.sharers - nSplit
-			if base > 0 {
-				pss += PageSize / float64(base)
+	})
+	return acc
+}
+
+// foreignSplitsLocked calls fn with the split count of every page some
+// sharer split but this space did not, in ascending page order. Runs of
+// 64 pages this space split entirely are skipped a word at a time.
+// Caller holds the host lock.
+func (ref *regionRef) foreignSplitsLocked(fn func(k int)) {
+	split := ref.region.split
+	for lo := 0; lo < len(split); lo += 64 {
+		var mine uint64
+		if w := lo >> 6; w < len(ref.dirty) {
+			mine = ref.dirty[w]
+		}
+		if mine == ^uint64(0) {
+			continue
+		}
+		for i, k := range split[lo:min(lo+64, len(split))] {
+			if k != 0 && mine&(1<<i) == 0 {
+				fn(int(k))
 			}
 		}
 	}
-	return pss
 }
 
 // USS returns the unique set size in bytes: private pages plus shared
@@ -618,17 +715,15 @@ func (s *Space) ussLocked() uint64 {
 	for _, ref := range s.refs {
 		r := ref.region
 		if r.sharers == 1 {
-			pages += uint64(r.pages - len(ref.dirty))
-		} else {
-			for p, nSplit := range r.dirtied {
-				if !ref.dirty[p] && r.sharers-nSplit == 1 {
-					pages++
-				}
-			}
-			if len(r.dirtied) == 0 {
-				continue
-			}
+			pages += uint64(r.pages - ref.nDirty)
+			continue
 		}
+		// Base frames every other sharer split.
+		ref.foreignSplitsLocked(func(k int) {
+			if k == r.sharers-1 {
+				pages++
+			}
+		})
 	}
 	return pages * PageSize
 }
@@ -649,18 +744,8 @@ func (s *Space) breakdownLocked() map[Kind]float64 {
 		out[kind] += float64(n) * PageSize
 	}
 	for _, ref := range s.refs {
-		r := ref.region
-		clean := r.pages - len(r.dirtied)
-		if r.sharers > 0 {
-			out[r.kind] += float64(clean) * PageSize / float64(r.sharers)
-		}
-		for p, nSplit := range r.dirtied {
-			if ref.dirty[p] {
-				continue
-			}
-			if base := r.sharers - nSplit; base > 0 {
-				out[r.kind] += PageSize / float64(base)
-			}
+		if ref.region.sharers > 0 {
+			out[ref.region.kind] = ref.addSharedPSSLocked(out[ref.region.kind])
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -335,4 +336,59 @@ func TestKindsSorted(t *testing.T) {
 			t.Fatalf("kinds not sorted: %v", ks)
 		}
 	}
+}
+
+// TestNegativeFreePrivatePanics: a negative free would silently
+// allocate (private -= -n), so it must panic as AllocPrivate does.
+func TestNegativeFreePrivatePanics(t *testing.T) {
+	h := newTestHost()
+	s := h.NewSpace("a")
+	s.AllocPrivate(KindHeap, 5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on negative free")
+		}
+		if h.Used() != 5*PageSize || s.PrivatePages(KindHeap) != 5 {
+			t.Fatalf("negative free moved accounting: used %d, heap %d", h.Used(), s.PrivatePages(KindHeap))
+		}
+	}()
+	s.FreePrivate(KindHeap, -3)
+}
+
+// TestDirtyFromBudget covers the range fault path: already-split pages
+// cost no budget, the scan stops right after the budget-th fault, and
+// next lets the caller resume there.
+func TestDirtyFromBudget(t *testing.T) {
+	h := newTestHost()
+	r := h.NewRegion("snap", KindHeap, 200)
+	a := h.NewSpace("a")
+	a.MapRegion(r)
+	a.DirtyPage(r, 11)
+	a.DirtyPage(r, 12)
+	faults, next := a.DirtyFrom(r, 10, 200, 5)
+	if faults != 5 || next != 17 {
+		t.Fatalf("DirtyFrom(10,200,5) = %d,%d, want 5,17", faults, next)
+	}
+	faults, next = a.DirtyFrom(r, next, 20, 100)
+	if faults != 3 || next != 20 {
+		t.Fatalf("DirtyFrom(17,20,100) = %d,%d, want 3,20", faults, next)
+	}
+	if faults, next = a.DirtyFrom(r, 20, 20, 1); faults != 0 || next != 20 {
+		t.Fatalf("empty range = %d,%d", faults, next)
+	}
+	want := []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	if got := a.DirtiedPagesIn(r); !slices.Equal(got, want) {
+		t.Fatalf("dirtied = %v, want %v", got, want)
+	}
+	// Sole sharer: every split reclaims its base frame, so usage stays
+	// at the region size.
+	if h.Used() != 200*PageSize {
+		t.Fatalf("used = %d", h.Used())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on out-of-range DirtyFrom")
+		}
+	}()
+	a.DirtyFrom(r, 150, 201, 1)
 }

@@ -71,15 +71,10 @@ func (r *Region) lineageLocked() RegionLineage {
 		// Dormant: no frames resident, nothing shared.
 		return l
 	}
-	for p, n := range r.dirtied {
-		l.SplitCopies += n
-		if r.freedBase[p] {
-			l.ReclaimedPages++
-		} else {
-			l.PartialPages++
-		}
-	}
-	l.SharedPages = r.pages - l.PartialPages - l.ReclaimedPages
+	l.SplitCopies = r.copies
+	l.ReclaimedPages = r.hist[r.sharers]
+	l.PartialPages = r.touched - l.ReclaimedPages
+	l.SharedPages = r.pages - r.touched
 	l.BaseResidentPages = l.SharedPages + l.PartialPages
 	if r.pages > 0 {
 		l.SharedFraction = float64(l.BaseResidentPages) / float64(r.pages)
@@ -130,7 +125,7 @@ func (h *Host) Report() HostReport {
 		UsedBytes:          h.usedPages * PageSize,
 		PrivateBytes:       h.privatePages * PageSize,
 		SharedBytes:        (h.usedPages - h.privatePages) * PageSize,
-		SwapThresholdBytes: uint64(float64(h.capacity) * h.swappiness),
+		SwapThresholdBytes: h.swapBytes,
 		SwappedBytes:       h.swappedPagesLocked() * PageSize,
 		HighWaterBytes:     h.maxUsedPages * PageSize,
 	}

@@ -354,3 +354,54 @@ func TestConcurrentReportRace(t *testing.T) {
 		t.Fatalf("leak: used = %d", h.Used())
 	}
 }
+
+// TestConcurrentRangeDirtyReportRace runs the range fault path, Free and
+// MapRegion on several goroutines while another takes fleet reports;
+// every report must be page-exact. Run under -race.
+func TestConcurrentRangeDirtyReportRace(t *testing.T) {
+	h := NewHost(1<<30, 0.6)
+	r := h.NewRegion("rt", KindRuntime, 300)
+	anchor := h.NewSpace("anchor")
+	anchor.MapRegion(r)
+	anchor.DirtyFrom(r, 0, 64, 64)
+	done := make(chan struct{})
+	var reports sync.WaitGroup
+	reports.Add(1)
+	go func() {
+		defer reports.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if rep := h.Report(); !rep.PSSPageExact {
+				t.Errorf("mid-churn report not page-exact: pss %v used %d", rep.PSSSumBytes, rep.UsedBytes)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				s := h.NewSpace("s")
+				s.MapRegion(r)
+				for from := g * 10; from < r.Pages(); {
+					_, next := s.DirtyFrom(r, from, r.Pages(), 7+g)
+					from = next + 3
+				}
+				s.Free()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	reports.Wait()
+	anchor.Free()
+	if h.Used() != 0 {
+		t.Fatalf("leak: used = %d", h.Used())
+	}
+}

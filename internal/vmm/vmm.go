@@ -341,12 +341,9 @@ func (v *MicroVM) DirtyDuringExecution(bytes uint64) {
 			cursor -= r.Pages()
 			continue
 		}
-		for p := cursor; p < r.Pages() && remaining > 0; p++ {
-			if v.space.DirtyPage(r, p) {
-				remaining--
-			}
-			v.dirtyCursor += mem.PageSize
-		}
+		faults, next := v.space.DirtyFrom(r, cursor, r.Pages(), remaining)
+		remaining -= faults
+		v.dirtyCursor += uint64(next-cursor) * mem.PageSize
 		cursor = 0
 	}
 	if remaining > 0 {
