@@ -1,12 +1,14 @@
 GO ?= go
 
-.PHONY: check vet build test race fuzz-mem trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline
+.PHONY: check vet build test race fuzz-mem fuzz-lang trace-demo mem-demo insight-demo telem-demo bench-gate bench-baseline
 
 # check is the tier-1 gate: everything must pass before a merge.
 check: vet build test race
 
+# vet also fails when any Go file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -32,6 +34,13 @@ race:
 FUZZTIME ?= 30s
 fuzz-mem:
 	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzPageAccounting$$' -fuzztime $(FUZZTIME)
+
+# fuzz-lang runs the interpreter-vs-JIT differential fuzzer: any FaaSLang
+# program that compiles must return the same value or error, and print
+# the same output, in the interpreter and with every function
+# force-compiled. FUZZTIME bounds the run.
+fuzz-lang:
+	$(GO) test ./internal/lang/jit -run '^$$' -fuzz '^FuzzInterpVsJIT$$' -fuzztime $(FUZZTIME)
 
 # trace-demo runs a faulted fwsim demo, dumps its event journal as
 # Chrome trace-event JSON, and sanity-checks that the dump parses and

@@ -18,6 +18,8 @@
 //	# trace id of the request's event trail
 //	curl -s localhost:8080/invoke/hello -d '{"who": "fireworks"}'
 //
+//	# request bodies over 8 MiB are rejected with 413
+//
 //	# inspect the platform
 //	curl -s localhost:8080/functions
 //	curl -s localhost:8080/stats
@@ -83,6 +85,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -321,7 +324,34 @@ func main() {
 	}
 	s := newServer(*nodes, chaos, telem)
 	log.Printf("fwsim gateway on http://%s (%d nodes)", *addr, *nodes)
-	log.Fatal(http.ListenAndServe(*addr, s.mux()))
+	srv := &http.Server{Addr: *addr, Handler: s.mux(), ReadHeaderTimeout: readHeaderTimeout}
+	log.Fatal(srv.ListenAndServe())
+}
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers.
+const readHeaderTimeout = 10 * time.Second
+
+// maxBodyBytes caps every request body the gateway reads; a larger
+// body is rejected with 413 Request Entity Too Large.
+const maxBodyBytes = 8 << 20
+
+// limitBody caps the request body of h at maxBodyBytes.
+func limitBody(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		h(w, r)
+	}
+}
+
+// bodyErrorStatus maps a request-body read or decode error to its
+// status: 413 for a body over maxBodyBytes, 400 for anything else.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // faultsConfig is a parsed -faults flag.
@@ -428,8 +458,8 @@ func parseTelemSpec(spec string) (*telemConfig, error) {
 // mux registers the gateway's routes.
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /install", s.handleInstall)
-	mux.HandleFunc("POST /invoke/{name}", s.handleInvoke)
+	mux.HandleFunc("POST /install", limitBody(s.handleInstall))
+	mux.HandleFunc("POST /invoke/{name}", limitBody(s.handleInvoke))
 	mux.HandleFunc("GET /functions", s.handleFunctions)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -445,11 +475,11 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /insight/servicegraph", s.handleInsightServiceGraph)
 	mux.HandleFunc("GET /insight/slowest", s.handleInsightSlowest)
 	mux.HandleFunc("GET /insight/report", s.handleInsightReport)
-	mux.HandleFunc("POST /insight/diff", s.handleInsightDiff)
+	mux.HandleFunc("POST /insight/diff", limitBody(s.handleInsightDiff))
 	mux.HandleFunc("DELETE /functions/{name}", s.handleRemove)
 	mux.HandleFunc("GET /workflows", s.handleWorkflows)
-	mux.HandleFunc("POST /workflows", s.handleWorkflowRegister)
-	mux.HandleFunc("POST /workflows/{name}/run", s.handleWorkflowRun)
+	mux.HandleFunc("POST /workflows", limitBody(s.handleWorkflowRegister))
+	mux.HandleFunc("POST /workflows/{name}/run", limitBody(s.handleWorkflowRun))
 	mux.HandleFunc("GET /workflows/{name}/dlq", s.handleWorkflowDLQ)
 	mux.HandleFunc("POST /workflows/{name}/dlq/replay", s.handleWorkflowDLQReplay)
 	return mux
@@ -569,7 +599,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 func (s *server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	var req installRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, bodyErrorStatus(err), err)
 		return
 	}
 	lang := rt.Lang(req.Lang)
@@ -602,7 +632,7 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, bodyErrorStatus(err), err)
 		return
 	}
 	if len(body) == 0 {
@@ -1008,7 +1038,7 @@ func (s *server) handleInsightDiff(w http.ResponseWriter, r *http.Request) {
 		B *insight.Report `json:"b"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("insight: diff body: %w", err))
+		writeError(w, bodyErrorStatus(err), fmt.Errorf("insight: diff body: %w", err))
 		return
 	}
 	if req.A == nil || req.B == nil {
@@ -1078,7 +1108,7 @@ func (s *server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleWorkflowRegister(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, bodyErrorStatus(err), err)
 		return
 	}
 	spec, err := workflow.ParseSpec(body)
@@ -1139,7 +1169,7 @@ func (s *server) handleWorkflowRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var input map[string]any
 	if err := json.NewDecoder(r.Body).Decode(&input); err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("input: %w", err))
+		writeError(w, bodyErrorStatus(err), fmt.Errorf("input: %w", err))
 		return
 	}
 	run, err := s.wf.Run(name, input, s.timeline.Now())

@@ -869,3 +869,34 @@ func TestHistogramExemplarsResolveToTraces(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedBodyRejected posts a body one JSON string over
+// maxBodyBytes to every endpoint that reads a request body and expects
+// 413, not a 400 or a handler that ran on a truncated body.
+func TestOversizedBodyRejected(t *testing.T) {
+	ts := newTestServer(t)
+	post(t, ts.URL+"/install", installBody)
+	post(t, ts.URL+"/install", `{"name": "echo", "lang": "nodejs", "source": "func main(params) { return params.msg; }"}`)
+	if status, out := post(t, ts.URL+"/workflows", wfSpecBody); status != http.StatusCreated {
+		t.Fatalf("register = %d: %v", status, out)
+	}
+	oversized := `{"x": "` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, tc := range []struct{ name, path string }{
+		{"install", "/install"},
+		{"invoke", "/invoke/hello"},
+		{"insight-diff", "/insight/diff"},
+		{"workflow-register", "/workflows"},
+		{"workflow-run", "/workflows/greet-chain/run"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, out := post(t, ts.URL+tc.path, oversized)
+			if status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d (%v), want 413", status, out)
+			}
+		})
+	}
+	// A body within the bound still reaches the handler.
+	if status, out := post(t, ts.URL+"/invoke/hello", `{"who": "bound"}`); status != http.StatusOK {
+		t.Fatalf("invoke after rejections = %d: %v", status, out)
+	}
+}

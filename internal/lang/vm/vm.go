@@ -149,7 +149,7 @@ func (v *VM) callClosure(cl *bytecode.Closure, args []lang.Value) (lang.Value, e
 	if v.JIT != nil {
 		v.JIT.OnCall(v, fn, prof)
 		if comp := v.JIT.Lookup(fn); comp != nil {
-			result, deopt, err := comp.Run(v, args)
+			result, deopt, err := v.runCompiled(comp, fn, args)
 			if !deopt {
 				return result, err
 			}
@@ -157,6 +157,19 @@ func (v *VM) callClosure(cl *bytecode.Closure, args []lang.Value) (lang.Value, e
 		}
 	}
 	return v.runFunction(fn, args)
+}
+
+// runCompiled runs fn's compiled code under the same call-depth limit
+// runFunction enforces: compiled code calls back through callClosure,
+// not runFunction, so without it JIT-tier recursion would run past the
+// limit the interpreter stops at.
+func (v *VM) runCompiled(comp Compiled, fn *bytecode.Function, args []lang.Value) (lang.Value, bool, error) {
+	if v.depth >= maxCallDepth {
+		return nil, false, fmt.Errorf("vm: call depth limit (%d) exceeded in %s", maxCallDepth, fn.Name)
+	}
+	v.depth++
+	defer func() { v.depth-- }()
+	return comp.Run(v, args)
 }
 
 // Iter drives for-in loops over lists (items), maps (sorted keys), and

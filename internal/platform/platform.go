@@ -132,23 +132,6 @@ func (inv *Invocation) ChargeOther(label string, d time.Duration) {
 // Total returns the end-to-end latency recorded so far.
 func (inv *Invocation) Total() time.Duration { return inv.Breakdown.Total() }
 
-// StartSpan opens a paired span: one on the breakdown (per-invocation
-// view) and one in the event journal (fleet-wide view), joined by
-// stamping the journal SpanID onto the breakdown span. Close it with
-// FinishSpan.
-func (inv *Invocation) StartSpan(component, name string, p trace.Phase, attrs ...events.Attr) *trace.Span {
-	s := inv.Breakdown.BeginSpan(name, p, inv.Clock.Now())
-	inv.Trace.Begin(component, name, inv.Clock.Now(), attrs...)
-	s.ID = uint64(inv.Trace.Current().Span)
-	return s
-}
-
-// FinishSpan closes the innermost span pair opened by StartSpan.
-func (inv *Invocation) FinishSpan(attrs ...events.Attr) {
-	inv.Breakdown.EndSpan(inv.Clock.Now())
-	inv.Trace.End(inv.Clock.Now(), attrs...)
-}
-
 // InvokeOptions tunes one Invoke call.
 type InvokeOptions struct {
 	Mode StartMode

@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/events"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 )
 
 // Policy names, in chain order. They label telemetry_traces_total and
@@ -135,22 +136,15 @@ func (s *siteRing) push(d time.Duration) {
 	s.n++
 }
 
-// quantile returns the q-th percentile (0–100) of the ring, nearest-
-// rank over a sorted copy — deterministic for a deterministic ring.
+// quantile returns the q-th percentile (0–100) of the ring, by
+// stats.Percentile over the resident samples — deterministic for a
+// deterministic ring.
 func (s *siteRing) quantile(q float64) time.Duration {
-	if s.n == 0 {
-		return 0
+	vals := make([]float64, s.n)
+	for i := range vals {
+		vals[i] = float64(s.buf[(s.start+i)%len(s.buf)])
 	}
-	vals := make([]time.Duration, s.n)
-	for i := 0; i < s.n; i++ {
-		vals[i] = s.buf[(s.start+i)%len(s.buf)]
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-	idx := int(float64(s.n-1)*q/100 + 0.5)
-	if idx >= s.n {
-		idx = s.n - 1
-	}
-	return vals[idx]
+	return time.Duration(stats.Percentile(vals, q))
 }
 
 // policyCounts is the per-policy ledger behind Stats.

@@ -133,6 +133,14 @@ func TestLatencyOutlierKept(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		closeTrace(j, 0, time.Millisecond)
 	}
+	// A root exactly at the armed threshold is not an outlier.
+	at := closeTrace(j, 0, time.Millisecond)
+	if len(j.Trace(at)) != 0 {
+		t.Fatal("root at the armed threshold was kept")
+	}
+	if got := reg.Counter(metrics.Name("telemetry_traces_total", "decision", "keep", "policy", PolicyLatency)).Value(); got != 0 {
+		t.Fatalf("keep{latency} = %d at the threshold, want 0", got)
+	}
 	slow := closeTrace(j, 0, 100*time.Millisecond)
 	if len(j.Trace(slow)) == 0 {
 		t.Fatal("latency outlier was dropped")

@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -22,25 +21,16 @@ const (
 	PhaseOthers  Phase = "others"   // network, disk I/O, queueing, parameter fetch
 )
 
-// Breakdown accumulates virtual time per phase for one invocation.
-// The zero value is ready to use. Breakdown is not safe for concurrent
-// use; each invocation owns its own.
-//
-// The three standard phases live in fixed slots (no per-invocation
-// map allocation on the hot path); phases outside the standard three
-// fall back to a lazily allocated map.
+// Breakdown accumulates virtual time per phase for one invocation: the
+// three-phase ledger plus its accounting log. The nested structure of an
+// invocation (which span contains which) lives in the event journal
+// (internal/events), not here. The zero value is ready to use.
+// Breakdown is not safe for concurrent use; each invocation owns its
+// own.
 type Breakdown struct {
 	durs    [3]time.Duration // PhaseStartup, PhaseExec, PhaseOthers
 	present [3]bool          // whether the slot was ever charged (even 0)
-	extra   map[Phase]time.Duration
 	events  []Event
-	// spans are the root spans of the invocation's span tree; open is
-	// the stack of spans begun but not yet ended (see span.go).
-	spans []*Span
-	open  []*Span
-	// arena allocates spans in chunks so an invocation's ~dozen spans
-	// cost one allocation instead of one each (see span.go).
-	arena []Span
 }
 
 // slot maps a standard phase to its fixed index, or -1.
@@ -56,24 +46,6 @@ func slot(p Phase) int {
 	return -1
 }
 
-// forEachPhase visits every charged phase in sorted-name order:
-// exec, others, start-up slot among any extra phases.
-func (b *Breakdown) forEachPhase(fn func(p Phase, d time.Duration)) {
-	phases := make([]Phase, 0, 3+len(b.extra))
-	for i, p := range [3]Phase{PhaseStartup, PhaseExec, PhaseOthers} {
-		if b.present[i] {
-			phases = append(phases, p)
-		}
-	}
-	for p := range b.extra {
-		phases = append(phases, p)
-	}
-	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-	for _, p := range phases {
-		fn(p, b.Get(p))
-	}
-}
-
 // Event is a single timestamped accounting entry, useful for debugging a
 // simulated invocation ("what exactly did the cold start pay for?").
 type Event struct {
@@ -83,28 +55,28 @@ type Event struct {
 }
 
 // Add charges cost to the given phase with a human-readable label.
+// Charging a phase outside the standard three, or a negative cost,
+// panics: both indicate a broken accounting site.
 func (b *Breakdown) Add(p Phase, label string, cost time.Duration) {
 	if cost < 0 {
 		panic(fmt.Sprintf("trace: negative cost %v for %s/%s", cost, p, label))
 	}
-	if i := slot(p); i >= 0 {
-		b.durs[i] += cost
-		b.present[i] = true
-	} else {
-		if b.extra == nil {
-			b.extra = make(map[Phase]time.Duration)
-		}
-		b.extra[p] += cost
+	i := slot(p)
+	if i < 0 {
+		panic(fmt.Sprintf("trace: unknown phase %q for %s", p, label))
 	}
+	b.durs[i] += cost
+	b.present[i] = true
 	b.events = append(b.events, Event{Phase: p, Label: label, Cost: cost})
 }
 
-// Get returns the accumulated time for one phase.
+// Get returns the accumulated time for one phase (zero for a phase
+// outside the standard three).
 func (b *Breakdown) Get(p Phase) time.Duration {
 	if i := slot(p); i >= 0 {
 		return b.durs[i]
 	}
-	return b.extra[p]
+	return 0
 }
 
 // Startup, Exec, and Others are convenience accessors for the three
@@ -115,57 +87,22 @@ func (b *Breakdown) Others() time.Duration  { return b.Get(PhaseOthers) }
 
 // Total returns the end-to-end latency: the sum over all phases.
 func (b *Breakdown) Total() time.Duration {
-	t := b.durs[0] + b.durs[1] + b.durs[2]
-	for _, d := range b.extra {
-		t += d
-	}
-	return t
+	return b.durs[0] + b.durs[1] + b.durs[2]
 }
 
 // Events returns the accounting log in insertion order. The returned
 // slice is owned by the Breakdown and must not be modified.
 func (b *Breakdown) Events() []Event { return b.events }
 
-// Merge adds every phase of other into b. It is used when an invocation
-// spans a chain of functions and the chain reports one combined breakdown.
-// The other breakdown's root spans are appended to b's span tree.
-func (b *Breakdown) Merge(other *Breakdown) {
-	if other == nil {
-		return
-	}
-	other.forEachPhase(func(p Phase, d time.Duration) {
-		b.Add(p, "merged", d)
-	})
-	for _, s := range other.spans {
-		b.spans = append(b.spans, cloneSpan(s))
-	}
-}
-
-// Clone returns an independent copy of the breakdown. Spans still open
-// at clone time remain open only in the original; the clone holds an
-// independent deep copy of the span tree.
-func (b *Breakdown) Clone() *Breakdown {
-	c := &Breakdown{durs: b.durs, present: b.present}
-	if len(b.extra) > 0 {
-		c.extra = make(map[Phase]time.Duration, len(b.extra))
-		for p, d := range b.extra {
-			c.extra[p] = d
-		}
-	}
-	c.events = append(c.events, b.events...)
-	for _, s := range b.spans {
-		c.spans = append(c.spans, cloneSpan(s))
-	}
-	return c
-}
-
 // String renders the breakdown compactly, phases sorted by name, e.g.
 // "exec=1.2ms others=300µs start-up=12ms total=13.5ms".
 func (b *Breakdown) String() string {
 	var sb strings.Builder
-	b.forEachPhase(func(p Phase, d time.Duration) {
-		fmt.Fprintf(&sb, "%s=%v ", p, d)
-	})
+	for _, p := range [3]Phase{PhaseExec, PhaseOthers, PhaseStartup} {
+		if i := slot(p); b.present[i] {
+			fmt.Fprintf(&sb, "%s=%v ", p, b.durs[i])
+		}
+	}
 	fmt.Fprintf(&sb, "total=%v", b.Total())
 	return sb.String()
 }
